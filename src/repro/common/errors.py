@@ -81,13 +81,13 @@ class StoreCorruption(StoreError):
 
 
 class RunTimeout(ReproError):
-    """A campaign worker exceeded its wall-clock timeout and was killed."""
+    """A unit outran its wall-clock deadline; its worker was killed."""
 
     code = "run-timeout"
 
 
 class WorkerCrash(ReproError):
-    """A campaign worker subprocess died without producing a record."""
+    """A campaign worker process died without producing a record."""
 
     code = "worker-crash"
 
@@ -122,8 +122,9 @@ class PoisonUnit(ReproError):
 
 
 class PoolExhausted(ReproError):
-    """The pool's worker-restart budget ran out; the supervisor degrades
-    to the serial in-process executor instead of spawn-looping."""
+    """Work was submitted to a closed pool supervisor: no worker can be
+    checked out or spawned.  (An exhausted restart budget does not raise
+    this; the supervisor degrades to the in-process executor instead.)"""
 
     code = "pool-exhausted"
 

@@ -3,71 +3,54 @@
 The in-process :class:`~repro.experiments.runner.Runner` is fast but
 fragile — one hung kernel wedges the whole ``scord-experiments all``
 campaign and one crash loses it.  This module supplies the resilient
-execution layer:
+campaign layer on top of the supervised worker pool
+(:class:`~repro.experiments.supervisor.PoolSupervisor`):
 
-* each simulation runs in a **worker subprocess** (``python -m
-  repro.experiments.campaign``), so a crash or hang is contained to one
-  run;
-* the parent enforces a **wall-clock timeout** (the worker additionally
-  arms an in-process :class:`~repro.common.guard.Watchdog` at ~80% of
-  it, so simulator-level hangs die with a structured hang report before
-  the SIGKILL);
-* failures are **retried with exponential backoff** up to a bound, then
-  surfaced as a :class:`~repro.common.errors.RunFailedError` carrying a
-  structured :class:`RunFailure` — which exhibits render as
+* :class:`RunSpec` is one simulation request, serializable across the
+  worker boundary; :class:`RunFailure` is a run that failed permanently;
+* :class:`CampaignRunner` is a drop-in :class:`Runner` whose cache misses
+  execute on the pool — each unit in a warm worker process, bounded by
+  a wall-clock timeout (the worker additionally arms an in-process
+  :class:`~repro.common.guard.Watchdog` at ~80% of it, so
+  simulator-level hangs die with a structured hang report), retried
+  with exponential backoff, then surfaced as a
+  :class:`~repro.common.errors.RunFailedError` that exhibits render as
   ``FAILED(reason)`` cells and the CLI collects into a failure manifest;
 * completed records are durably appended to the
   :class:`~repro.experiments.store.RunStore` **by the parent, never the
   worker**: a worker that is SIGKILLed, OOM-killed, or desyncs mid-unit
   can therefore never tear a line in the shared JSONL store — the blast
-  radius of a worker fault is exactly one in-flight unit.
+  radius of a worker fault is exactly one in-flight unit;
+* :class:`InProcessExecutor` is the floor the pool degrades to when
+  workers cannot be sustained.
 
 Fault injection (``repro.experiments.faults``) plugs in as a per-attempt
-plan the parent serializes into the worker spec — recovery paths are
+plan the pool serializes into each run frame — recovery paths are
 proven by tests, not assumed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import re
-import subprocess
-import sys
 import threading
-import time
-from typing import List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, List, Optional, Tuple, Type
 
 from repro.common.errors import (
     ConfigError,
     ReproError,
     RunFailedError,
-    RunTimeout,
-    WorkerCrash,
     error_code,
 )
 from repro.common.guard import GuardConfig, Watchdog
 from repro.experiments.runner import Runner, RunRecord
-from repro.experiments.store import (
-    RunStore,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.experiments.store import RunStore
 from repro.scor.apps.base import ScorApp
 
+if TYPE_CHECKING:
+    from repro.experiments.supervisor import PoolSupervisor
+
 SPEC_SCHEMA = 1
-
-#: worker exit codes (parent classifies failures by these)
-EXIT_OK = 0
-EXIT_BAD_SPEC = 2
-EXIT_REPRO_ERROR = 4
-EXIT_UNEXPECTED = 5
-
-_WORKER_ERROR_RE = re.compile(r"^\[worker-error\] ([a-z-]+): (.*)$")
-
-#: retryable failure categories; deterministic misconfigurations are not
-_NO_RETRY_CODES = frozenset({"config", "kernel"})
 
 
 # ----------------------------------------------------------------------
@@ -143,147 +126,6 @@ class RunFailure:
         }
 
 
-# ----------------------------------------------------------------------
-# Parent side: the executor
-# ----------------------------------------------------------------------
-class CampaignExecutor:
-    """Runs simulations in isolated workers with timeout and retry."""
-
-    def __init__(
-        self,
-        timeout: Optional[float] = None,
-        max_retries: int = 1,
-        backoff_seconds: float = 0.25,
-        fault_plan=None,
-        verbose: bool = False,
-        flight=None,
-        forensics_dir=None,
-    ):
-        if max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.fault_plan = fault_plan
-        self.verbose = verbose
-        #: optional FlightConfig: workers capture each unit in flight and
-        #: write forensic bundles for detected races into forensics_dir
-        self.flight = flight
-        self.forensics_dir = forensics_dir
-        #: per-unit forensics summaries reported back by workers
-        #: (list.append is atomic — dispatcher threads share this)
-        self.forensics_units: List[dict] = []
-
-    # ------------------------------------------------------------------
-    def execute(self, spec: RunSpec) -> RunRecord:
-        """Run *spec* to completion; raises :class:`RunFailedError`."""
-        attempts = self.max_retries + 1
-        last_category = "unknown"
-        last_message = ""
-        for attempt in range(1, attempts + 1):
-            fault = None
-            if self.fault_plan is not None:
-                fault = self.fault_plan.action_for(
-                    spec.app, spec.detector, spec.memory, attempt
-                )
-            try:
-                return self._attempt(spec, fault)
-            except (RunTimeout, WorkerCrash, ReproError) as err:
-                last_category = error_code(err)
-                last_message = str(err)
-                if self.verbose:
-                    print(
-                        f"  [attempt {attempt}/{attempts} failed] "
-                        f"{spec.describe()}: {last_category}: {last_message}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                if last_category in _NO_RETRY_CODES:
-                    break
-                if attempt < attempts:
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        failure = RunFailure(spec, last_category, last_message, attempt)
-        raise RunFailedError(
-            f"{spec.describe()} failed after {attempt} attempt(s): "
-            f"{last_category}: {last_message}",
-            failure=failure,
-        )
-
-    # ------------------------------------------------------------------
-    def _attempt(self, spec: RunSpec, fault: Optional[str]) -> RunRecord:
-        payload = spec.to_dict()
-        if self.timeout:
-            # In-process watchdog fires before the parent's SIGKILL so
-            # simulator-level hangs produce a structured hang report.
-            payload["deadline"] = self.timeout * 0.8
-        if fault is not None:
-            payload["fault"] = fault
-        if self.flight is not None:
-            payload["flight"] = self.flight.to_dict()
-            if self.forensics_dir:
-                payload["forensics_dir"] = os.fspath(self.forensics_dir)
-        cmd = [sys.executable, "-m", "repro.experiments.campaign"]
-        try:
-            proc = subprocess.run(
-                cmd,
-                input=json.dumps(payload),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-                env=_worker_env(),
-            )
-        except subprocess.TimeoutExpired:
-            raise RunTimeout(
-                f"worker exceeded the {self.timeout:g}s timeout and was "
-                "killed"
-            ) from None
-        if proc.returncode == EXIT_OK:
-            return self._parse_record(spec, proc.stdout)
-        raise self._classify_failure(proc)
-
-    def _parse_record(self, spec: RunSpec, stdout: str) -> RunRecord:
-        lines = [
-            line.strip() for line in stdout.splitlines() if line.strip()
-        ]
-        if not lines:
-            raise WorkerCrash(
-                f"worker for {spec.describe()} exited cleanly without a "
-                "record"
-            )
-        # The record is the LAST line; earlier lines may carry
-        # side-channel payloads (forensics summaries) or stray prints.
-        try:
-            record = record_from_dict(json.loads(lines[-1]))
-        except (json.JSONDecodeError, ReproError) as err:
-            raise WorkerCrash(
-                f"worker for {spec.describe()} exited cleanly but "
-                f"produced an unreadable record: {err}"
-            ) from err
-        for line in lines[:-1]:
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict) and "forensics_unit" in payload:
-                self.forensics_units.append(payload["forensics_unit"])
-        return record
-
-    @staticmethod
-    def _classify_failure(proc) -> ReproError:
-        stderr_lines = proc.stderr.strip().splitlines()
-        for line in reversed(stderr_lines):
-            match = _WORKER_ERROR_RE.match(line.strip())
-            if match:
-                code, message = match.groups()
-                err = ReproError(message)
-                err.code = code
-                return err
-        tail = " | ".join(stderr_lines[-3:]) if stderr_lines else "(no stderr)"
-        return WorkerCrash(
-            f"worker died with exit code {proc.returncode}: {tail}"
-        )
-
-
 def _worker_env() -> dict:
     """The parent's environment with this package importable."""
     import repro
@@ -301,48 +143,46 @@ def _worker_env() -> dict:
 # The resilient Runner
 # ----------------------------------------------------------------------
 class CampaignRunner(Runner):
-    """A :class:`Runner` whose cache misses execute in isolated workers.
+    """A :class:`Runner` whose cache misses execute on a worker pool.
 
     Drop-in for the exhibits: same ``run()`` signature, same memoizing
     cache, but a hung or crashed simulation costs one run (retried, then
     marked failed) instead of the campaign.  Permanent failures are
-    collected in :attr:`failures` for the CLI's manifest.
+    collected in :attr:`failures` for the CLI's manifest.  Persistence
+    stays parent-side (the inherited ``_persist``): workers never touch
+    the store.
+
+    Flight capture happens worker-side, so the runner takes its flight
+    config and forensics directory from *pool* and asks the pool for the
+    per-unit summaries the workers report back.
     """
 
     def __init__(
         self,
-        executor: CampaignExecutor,
+        pool: PoolSupervisor,
         verbose: bool = True,
         store: Optional[RunStore] = None,
         preload: bool = True,
         telemetry=None,
-        flight=None,
-        forensics_dir=None,
+        result_cache=None,
     ):
         # Telemetry note: kernel-level spans only exist for in-process
-        # simulation; isolated workers run in their own interpreter, so
-        # this runner's traces stop at the unit span (which still times
-        # the worker round-trip).
+        # simulation; pool workers run in their own interpreter, so this
+        # runner's traces stop at the unit span (which still times the
+        # worker round-trip).
         super().__init__(
             verbose=verbose, store=store, preload=preload,
-            telemetry=telemetry, flight=flight, forensics_dir=forensics_dir,
+            result_cache=result_cache, telemetry=telemetry,
+            flight=pool.flight, forensics_dir=pool.forensics_dir,
         )
-        # Capture happens worker-side; the executor ships the config and
-        # collects the per-unit summaries the workers report back.
-        if flight is not None:
-            executor.flight = flight
-            executor.forensics_dir = forensics_dir
-        self.executor = executor
+        self.pool = pool
         self.failures: List[RunFailure] = []
         #: units a parallel prefetch already failed permanently; keyed by
         #: run_key, consulted so exhibits do not pay the retries twice
         self.prefailed: dict = {}
 
     def _all_forensics_units(self) -> List[dict]:
-        return (
-            list(self.forensics_units)
-            + list(getattr(self.executor, "forensics_units", []))
-        )
+        return self.pool.all_forensics_units()
 
     def _simulate(
         self,
@@ -361,17 +201,11 @@ class CampaignRunner(Runner):
                 failure=prior,
             )
         try:
-            return self.executor.execute(spec)
+            return self.pool.execute(spec)
         except RunFailedError as err:
             if err.failure is not None:
                 self.failures.append(err.failure)
             raise
-
-    def _persist(self, record: RunRecord) -> None:
-        # Persistence is strictly parent-side: the worker never touches
-        # the store (a crashing worker must not be able to tear a line),
-        # so every fresh record is checkpointed here.
-        super()._persist(record)
 
 
 # ----------------------------------------------------------------------
@@ -380,12 +214,12 @@ class CampaignRunner(Runner):
 class InProcessExecutor:
     """Serial in-process executor: the floor of the degradation ladder.
 
-    Same ``execute(spec) -> RunRecord`` contract as
-    :class:`CampaignExecutor`, but no subprocess at all — the simulation
-    runs in the calling interpreter under a watchdog.  The pool
-    supervisor falls back to this when workers cannot be sustained, so
-    "the environment cannot keep a subprocess alive" degrades a campaign
-    to slow-but-done rather than dead.  Calls are serialized by a lock:
+    Same ``execute(spec) -> RunRecord`` contract as the pool
+    supervisor, but no subprocess at all — the simulation runs in the
+    calling interpreter under a watchdog.  The pool supervisor falls
+    back to this when workers cannot be sustained, so "the environment
+    cannot keep a worker process alive" degrades a campaign to
+    slow-but-done rather than dead.  Calls are serialized by a lock:
     degraded throughput is serial by design (there is no isolation left
     to exploit), and the deterministic merge upstream is unaffected.
     """
@@ -443,82 +277,3 @@ class InProcessExecutor:
                     f"{spec.describe()} failed in-process: config: {err}",
                     failure=failure,
                 ) from err
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def worker_main(argv=None) -> int:
-    """``python -m repro.experiments.campaign``: run one spec from stdin.
-
-    Protocol: read a JSON spec on stdin; simulate; print the record as
-    one JSON line on stdout.  The *parent* persists the record — a
-    worker never opens the store, so no worker fault can corrupt it.
-    Errors exit non-zero with a final ``[worker-error] code: message``
-    line on stderr.
-    """
-    raw = sys.stdin.read()
-    try:
-        payload = json.loads(raw)
-        spec = RunSpec.from_dict(payload)
-    except (json.JSONDecodeError, KeyError, ReproError) as err:
-        print(f"[worker-error] config: bad spec: {err}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-
-    # Injected faults fire before the simulation, exactly like a real
-    # hang/crash would strike mid-campaign.
-    from repro.experiments.faults import apply_fault
-
-    try:
-        apply_fault(payload.get("fault"))
-        deadline = payload.get("deadline")
-        guard_factory = None
-        if deadline:
-            guard_factory = lambda: Watchdog(
-                GuardConfig(deadline_seconds=float(deadline))
-            )
-        from repro.scor.apps.registry import app_by_name
-
-        flight = None
-        if payload.get("flight") is not None:
-            from repro.telemetry.flight import FlightConfig
-
-            flight = FlightConfig.from_dict(payload["flight"])
-        runner = Runner(
-            verbose=False,
-            guard_factory=guard_factory,
-            flight=flight,
-            forensics_dir=payload.get("forensics_dir"),
-        )
-        record = runner.run(
-            app_by_name(spec.app),
-            detector=spec.detector,
-            memory=spec.memory,
-            races=spec.races,
-            seed=spec.seed,
-        )
-    except ReproError as err:
-        if err.diagnostics:
-            print(err.diagnostics, file=sys.stderr)
-        print(f"[worker-error] {err.code}: {err}", file=sys.stderr)
-        return EXIT_REPRO_ERROR
-    except KeyError as err:
-        print(f"[worker-error] config: {err}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-    except Exception as err:  # noqa: BLE001 - the whole point is isolation
-        print(
-            f"[worker-error] worker-crash: {type(err).__name__}: {err}",
-            file=sys.stderr,
-        )
-        return EXIT_UNEXPECTED
-
-    # Side-channel lines precede the record line (the parent parses the
-    # last line as the record and collects these).
-    for entry in runner.forensics_units:
-        print(json.dumps({"forensics_unit": entry}, separators=(",", ":")))
-    print(json.dumps(record_to_dict(record), separators=(",", ":")))
-    return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

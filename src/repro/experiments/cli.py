@@ -10,9 +10,11 @@ Resilience (see docs/architecture.md, "Resilience"):
 * ``--store PATH`` checkpoints every completed simulation to a durable
   JSONL store; ``--resume`` preloads it, so a killed campaign restarts
   without re-simulating finished runs.
-* ``--isolate`` runs each simulation in a worker subprocess;
+* ``--isolate`` runs each simulation in a worker process of a supervised
+  pool (see docs/architecture.md §11) with heartbeat liveness, crash
+  recycling, retry with backoff, and graceful degradation;
   ``--timeout``/``--max-retries`` (which imply ``--isolate``) bound and
-  retry hung or crashed workers.
+  retry hung or crashed units.
 * A failing run costs its table cells (``FAILED(reason)``), a failing
   exhibit costs one structured error line — never the campaign.  The
   exit code is non-zero if anything failed, and ``--manifest PATH``
@@ -20,15 +22,14 @@ Resilience (see docs/architecture.md, "Resilience"):
 
 Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
 
-* ``--jobs N`` (implies ``--isolate``) shards the campaign's work units
-  across N concurrent workers with work stealing and a deterministic
-  merge — results are identical to ``--jobs 1``.  By default the units
-  are served by a supervised pool of persistent warm workers
-  (``--pool``; see docs/architecture.md §11) with heartbeat liveness,
-  crash recycling, and graceful degradation; ``--no-pool`` reverts to a
-  fresh subprocess per unit.  ``--worker-ttl`` / ``--max-worker-restarts``
-  tune the pool's recycling policy, and ``--chaos-kill-every N``
-  deliberately SIGKILLs a worker every Nth unit (resilience drills).
+* ``--jobs N`` (implies ``--isolate``) sizes that pool at N workers and
+  shards the campaign's work units across them with work stealing and
+  a deterministic merge — results are identical to ``--jobs 1``.  Every
+  isolated campaign runs on exactly one pool of ``max(1, N)`` workers,
+  which serves the parallel prefetch and any unit the planner missed.
+  ``--worker-ttl`` / ``--max-worker-restarts`` tune the pool's
+  recycling policy, and ``--chaos-kill-every N`` deliberately SIGKILLs
+  a worker every Nth unit (resilience drills).
 * ``--cache-dir PATH`` layers a content-addressed result cache over the
   runs: units are keyed by a stable hash of the resolved configs, kernel
   identity, seed, and schema version, so re-runs and overlapping
@@ -38,6 +39,7 @@ Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -223,7 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--isolate",
         action="store_true",
-        help="run each simulation in an isolated worker subprocess",
+        help="run each simulation in an isolated worker process "
+        "(a supervised pool of one without --jobs)",
     )
     parser.add_argument(
         "--timeout",
@@ -249,22 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run the campaign's simulations across N concurrent worker "
-        "subprocesses (implies --isolate; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=None,
-        help="serve parallel units from a supervised pool of persistent "
-        "warm workers (default when --jobs > 1)",
-    )
-    parser.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="use a fresh worker subprocess per unit instead of the pool",
+        help="run the campaign's simulations on a supervised pool of N "
+        "persistent worker processes (implies --isolate; 0 = one per "
+        "CPU)",
     )
     parser.add_argument(
         "--worker-ttl",
@@ -347,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight-out",
         metavar="PATH",
         help="write the in-process flight recorder's JSONL event log to "
-        "PATH (implies --flight; isolated/pool units capture worker-side "
+        "PATH (implies --flight; isolated units capture worker-side "
         "and export through --forensics-out instead)",
     )
     parser.add_argument(
@@ -359,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--event-log",
         metavar="PATH",
-        help="with --pool: stream the workers' structured JSONL event "
-        "log (unit lifecycle + forensics, with campaign/unit/worker "
+        help="isolated campaigns: stream the workers' structured JSONL "
+        "event log (unit lifecycle + forensics, with campaign/unit/worker "
         "correlation IDs) to PATH",
     )
     parser.add_argument(
@@ -425,6 +415,13 @@ def _build_cache(args):
 
 
 def _build_runner(args, cache=None, telemetry=None, flight=None) -> Runner:
+    """The campaign's runner: in-process, or on one supervised pool.
+
+    ``--isolate``, ``--timeout``, ``--max-retries``, ``--jobs N`` (N != 1)
+    and ``--chaos-kill-every`` all select the pool, sized at ``max(1, N)``
+    workers (``--jobs 0`` means one per CPU).  The caller closes
+    ``runner.pool`` once the exhibits have rendered.
+    """
     store = None
     if args.store:
         from repro.experiments.store import RunStore
@@ -435,6 +432,7 @@ def _build_runner(args, cache=None, telemetry=None, flight=None) -> Runner:
         or args.timeout is not None
         or args.max_retries is not None
         or args.jobs != 1
+        or args.chaos_kill_every
     )
     verbose = not args.quiet
     if not isolate:
@@ -443,20 +441,36 @@ def _build_runner(args, cache=None, telemetry=None, flight=None) -> Runner:
             result_cache=cache, telemetry=telemetry,
             flight=flight, forensics_dir=args.forensics_out,
         )
-    from repro.experiments.campaign import CampaignExecutor, CampaignRunner
+    from repro.experiments.campaign import CampaignRunner
+    from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 
-    executor = CampaignExecutor(
-        timeout=args.timeout,
-        max_retries=args.max_retries if args.max_retries is not None else 1,
-        verbose=verbose,
+    fault_plan = None
+    if args.chaos_kill_every:
+        from repro.experiments.faults import ChaosPlan
+
+        fault_plan = ChaosPlan("pool-kill", every=args.chaos_kill_every)
+    config = PoolConfig(
+        workers=max(1, args.jobs or (os.cpu_count() or 1)),
+        worker_ttl=args.worker_ttl,
+        max_worker_restarts=args.max_worker_restarts,
+        unit_timeout=args.timeout,
+        max_retries=(
+            args.max_retries if args.max_retries is not None else 1
+        ),
     )
-    runner = CampaignRunner(
-        executor, verbose=verbose, store=store, preload=args.resume,
+    pool = PoolSupervisor(
+        config,
+        fault_plan=fault_plan,
         telemetry=telemetry,
-        flight=flight, forensics_dir=args.forensics_out,
+        verbose=verbose,
+        flight=flight,
+        forensics_dir=args.forensics_out,
+        event_log_path=args.event_log,
     )
-    runner.result_cache = cache
-    return runner
+    return CampaignRunner(
+        pool, verbose=verbose, store=store, preload=args.resume,
+        telemetry=telemetry, result_cache=cache,
+    )
 
 
 def _profile_section(runner, telemetry, elapsed_seconds):
@@ -475,36 +489,50 @@ def _profile_section(runner, telemetry, elapsed_seconds):
     return section
 
 
-def _build_pool(args, jobs, telemetry=None, flight=None):
-    """A (PoolSupervisor, fault_plan) pair, or (None, None) without --pool."""
-    if not args.pool:
-        return None, None
-    from repro.experiments.supervisor import PoolConfig, PoolSupervisor
+@contextlib.contextmanager
+def _step(telemetry, span: str, phase: str):
+    """A campaign step's trace span and profiler phase (no-op when off)."""
+    if telemetry is None:
+        yield
+        return
+    with telemetry.tracer.span(span, cat="exp"), \
+            telemetry.profiler.phase(phase):
+        yield
 
-    fault_plan = None
-    if args.chaos_kill_every:
-        from repro.experiments.faults import ChaosPlan
 
-        fault_plan = ChaosPlan("pool-kill", every=args.chaos_kill_every)
-    config = PoolConfig(
-        workers=jobs,
-        worker_ttl=args.worker_ttl,
-        max_worker_restarts=args.max_worker_restarts,
-        unit_timeout=args.timeout,
-        max_retries=(
-            args.max_retries if args.max_retries is not None else 1
-        ),
-    )
-    supervisor = PoolSupervisor(
-        config,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-        verbose=not args.quiet,
-        flight=flight,
-        forensics_dir=args.forensics_out,
-        event_log_path=args.event_log,
-    )
-    return supervisor, fault_plan
+def _render_exhibits(args, runner, wanted, cache, telemetry) -> dict:
+    """Prefetch in parallel (``--jobs``), then print every exhibit.
+
+    Returns ``{exhibit name: error}`` for the exhibits that failed.
+    """
+    runners = _exhibit_runners()
+    plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
+    if args.jobs != 1 and plannable:
+        from repro.experiments.parallel import prefetch_exhibits
+
+        with _step(telemetry, "parallel-prefetch", "exp.prefetch"):
+            prefetch_exhibits(
+                runner, runners, plannable,
+                jobs=runner.pool.config.workers, cache=cache,
+                verbose=not args.quiet,
+            )
+    exhibit_errors = {}
+    for name in wanted:
+        try:
+            with _step(telemetry, f"exhibit:{name}", f"exp.render.{name}"):
+                text = runners[name](runner)
+            print(text)
+        except ReproError as err:
+            # One exhibit failing must not abort the campaign: report a
+            # single structured line and keep rendering the rest.
+            exhibit_errors[name] = err
+            print(
+                f"[exhibit-failed] {name}: {err.describe()}",
+                file=sys.stderr,
+                flush=True,
+            )
+        print()
+    return exhibit_errors
 
 
 def _mc_section(runner, budget, quiet, telemetry=None):
@@ -955,11 +983,6 @@ def main(argv=None) -> int:
         parser.error("--chaos-kill-every must be >= 0 (0 = off)")
     if args.mc_budget < 1:
         parser.error("--mc-budget must be >= 1")
-    if args.chaos_kill_every and args.pool is False:
-        parser.error("--chaos-kill-every injects pool faults; remove --no-pool")
-    if args.pool is None:
-        # Warm pool is the parallel default; chaos only works against it.
-        args.pool = args.jobs != 1 or bool(args.chaos_kill_every)
 
     cache = _build_cache(args)
     try:
@@ -973,7 +996,7 @@ def main(argv=None) -> int:
     runner = _build_runner(
         args, cache=cache, telemetry=telemetry, flight=flight
     )
-    runners = _exhibit_runners()
+    pool = getattr(runner, "pool", None)
     started = time.time()
     campaign_span = None
     if telemetry is not None:
@@ -983,66 +1006,22 @@ def main(argv=None) -> int:
         campaign_span.__enter__()
     lint_section = None
     if args.preflight_lint:
-        if telemetry is not None:
-            with telemetry.tracer.span("preflight-lint", cat="exp"), \
-                    telemetry.profiler.phase("exp.preflight_lint"):
-                lint_section = _preflight_lint(telemetry=telemetry)
-        else:
-            lint_section = _preflight_lint()
-    plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
-    pool_section = None
-    if (args.jobs != 1 or args.pool) and plannable:
-        from repro.experiments.parallel import prefetch_exhibits
-
-        jobs = args.jobs or (os.cpu_count() or 1)
-        supervisor, fault_plan = _build_pool(
-            args, jobs, telemetry=telemetry, flight=flight
+        with _step(telemetry, "preflight-lint", "exp.preflight_lint"):
+            lint_section = _preflight_lint(telemetry=telemetry)
+    try:
+        exhibit_errors = _render_exhibits(
+            args, runner, wanted, cache, telemetry
         )
-        try:
-            if telemetry is not None:
-                with telemetry.tracer.span("parallel-prefetch", cat="exp"), \
-                        telemetry.profiler.phase("exp.prefetch"):
-                    prefetch_exhibits(
-                        runner, runners, plannable, jobs=jobs, cache=cache,
-                        verbose=not args.quiet, pool=supervisor,
-                    )
-            else:
-                prefetch_exhibits(
-                    runner, runners, plannable, jobs=jobs, cache=cache,
-                    verbose=not args.quiet, pool=supervisor,
-                )
-        finally:
-            if supervisor is not None:
-                supervisor.close()
-                pool_section = supervisor.stats()
-                if fault_plan is not None:
-                    pool_section["chaos_injected"] = fault_plan.injected
-                # Workers forward their forensics units over log frames;
-                # fold them into the runner's campaign-level list so the
-                # manifest's forensics section sees every unit.
-                runner.forensics_units.extend(
-                    supervisor.all_forensics_units()
-                )
-    exhibit_errors = {}
-    for name in wanted:
-        try:
-            if telemetry is not None:
-                with telemetry.tracer.span(f"exhibit:{name}", cat="exp"), \
-                        telemetry.profiler.phase(f"exp.render.{name}"):
-                    text = runners[name](runner)
-            else:
-                text = runners[name](runner)
-            print(text)
-        except ReproError as err:
-            # One exhibit failing must not abort the campaign: report a
-            # single structured line and keep rendering the rest.
-            exhibit_errors[name] = err
-            print(
-                f"[exhibit-failed] {name}: {err.describe()}",
-                file=sys.stderr,
-                flush=True,
-            )
-        print()
+    finally:
+        # One pool for the whole campaign: the prefetch and every unit
+        # the planner missed ran on it; retire its workers exactly once.
+        if pool is not None:
+            pool.close()
+    pool_section = None
+    if pool is not None:
+        pool_section = pool.stats()
+        if pool.fault_plan is not None:
+            pool_section["chaos_injected"] = pool.fault_plan.injected
     if args.dump:
         runner.dump_json(args.dump)
         print(f"[raw records written to {args.dump}]", file=sys.stderr)
@@ -1051,14 +1030,10 @@ def main(argv=None) -> int:
     elapsed = time.time() - started
     mc_section = None
     if args.mc:
-        if telemetry is not None:
-            with telemetry.tracer.span("mc-upgrade", cat="exp"), \
-                    telemetry.profiler.phase("exp.mc"):
-                mc_section = _mc_section(
-                    runner, args.mc_budget, args.quiet, telemetry
-                )
-        else:
-            mc_section = _mc_section(runner, args.mc_budget, args.quiet)
+        with _step(telemetry, "mc-upgrade", "exp.mc"):
+            mc_section = _mc_section(
+                runner, args.mc_budget, args.quiet, telemetry
+            )
         elapsed = time.time() - started
     forensics_section = runner.forensics_section()
     if forensics_section is not None and not args.quiet:

@@ -2,32 +2,26 @@
 
 Recovery paths that are never exercised do not exist.  Following GPUMC's
 discipline of *proving* checking machinery rather than trusting it, this
-module injects the three failure shapes the campaign layer claims to
-survive:
+module injects the failure shapes a pool worker
+(``repro.experiments.pool``) claims to survive — each engineered to
+surface as a *distinct* code from the :mod:`repro.common.errors`
+taxonomy:
 
-* **hang** — the worker stops making progress (caught by the parent's
-  wall-clock timeout, then retried);
-* **crash** — the worker dies abruptly without a record (``os._exit``,
-  indistinguishable from a SIGKILL'd process);
-* **error** — the simulation raises a :class:`SimulationError`
-  (exercises the structured worker-error protocol);
+* **error** — the simulation raises a :class:`SimulationError`; the
+  worker reports it over the structured error frame and stays healthy
+  (→ ``simulation``);
+* **pool-kill** — SIGKILL self mid-unit (→ ``worker-crash``);
+* **pool-hang** — go silent: no heartbeats, no result (→
+  ``worker-hang`` when the heartbeat window expires first,
+  ``run-timeout`` when the unit's deadline does);
+* **pool-frame** — emit a corrupt result frame: valid length prefix,
+  garbage body (→ ``protocol-desync``);
+* **pool-loris** — keep the pipe warm by trickling partial frame bytes
+  that never complete (→ ``slow-loris``);
 
 plus **store corruption** (:func:`corrupt_store`) — torn tails, garbage
 bytes, and schema drift in the checkpoint file, which ``RunStore.load``
 must quarantine rather than crash on.
-
-The warm worker pool (``repro.experiments.pool``) has failure shapes a
-one-shot subprocess cannot exhibit, so four pool-specific actions join
-the list — each engineered to surface as a *distinct* code from the
-:mod:`repro.common.errors` taxonomy:
-
-* **pool-kill** — SIGKILL self mid-unit (→ ``worker-crash``);
-* **pool-hang** — go silent: no heartbeats, no result (→
-  ``worker-hang``);
-* **pool-frame** — emit a corrupt result frame: valid length prefix,
-  garbage body (→ ``protocol-desync``);
-* **pool-loris** — keep the pipe warm by trickling partial frame bytes
-  that never complete (→ ``slow-loris``).
 
 A :class:`FaultPlan` is parent-side policy: it decides, per run and per
 attempt, which action the worker is told to perform — e.g. "hang on the
@@ -41,20 +35,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal
+import struct
 import threading
 import time
 from typing import Optional, Tuple
 
 from repro.common.errors import ConfigError, SimulationError
 
-#: pool-worker actions (served by :func:`apply_pool_fault`)
-POOL_ACTIONS = ("pool-kill", "pool-hang", "pool-frame", "pool-loris")
-
-#: worker-side actions a plan may request
-ACTIONS = ("hang", "crash", "error") + POOL_ACTIONS
-
-#: exit code of a deliberately crashed worker (recognizable in stderr)
-CRASH_EXIT_CODE = 23
+#: worker-side actions a plan may request (served by :func:`apply_fault`)
+ACTIONS = ("error", "pool-kill", "pool-hang", "pool-frame", "pool-loris")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,7 +52,7 @@ class FaultRule:
 
     ``None`` fields match anything; ``actions[i]`` applies to attempt
     ``i + 1`` and attempts beyond the list run clean — so
-    ``actions=("hang",)`` means "hang once, then behave".
+    ``actions=("pool-hang",)`` means "hang once, then behave".
     """
 
     actions: Tuple[Optional[str], ...]
@@ -155,64 +144,43 @@ class ChaosPlan:
         return None
 
 
-def apply_fault(action: Optional[str]) -> None:
-    """Execute an injected fault inside the worker process."""
-    if action is None:
-        return
-    if action == "hang":
-        # Park well past any sane campaign timeout; the parent kills us.
-        time.sleep(3600)
-    elif action == "crash":
-        os._exit(CRASH_EXIT_CODE)
-    elif action == "error":
-        raise SimulationError("injected fault: deliberate simulation error")
-    else:
-        raise ConfigError(f"unknown fault action {action!r}")
-
-
-def apply_pool_fault(
-    action: Optional[str], out, request_id, beat_every: float
-) -> None:
-    """Execute an injected fault inside a *pool* worker, mid-unit.
+def apply_fault(action: Optional[str], out, beat_every: float) -> None:
+    """Execute an injected fault inside a pool worker, mid-unit.
 
     *out* is the worker's raw frame stream (``sys.stdout.buffer``) —
     the frame-level faults write directly to it, bypassing the framing
-    helpers, because corrupting the wire is exactly the point.  Legacy
-    one-shot actions (``hang``/``crash``/``error``) delegate to
-    :func:`apply_fault` so existing plans keep working against a pool.
+    helpers, because corrupting the wire is exactly the point.
     """
     if action is None:
         return
-    if action not in POOL_ACTIONS:
-        apply_fault(action)
-        return
-    if action == "pool-kill":
+    if action == "error":
+        raise SimulationError("injected fault: deliberate simulation error")
+    elif action == "pool-kill":
         # Indistinguishable from the OOM killer: no goodbye frame, the
         # parent sees EOF mid-conversation (→ worker-crash).
         os.kill(os.getpid(), signal.SIGKILL)
     elif action == "pool-hang":
         # Total silence: no heartbeat, no result.  The parent's
-        # liveness window expires (→ worker-hang).
+        # liveness window or the unit's deadline expires (→ worker-hang
+        # or run-timeout, whichever is shorter).
         time.sleep(3600)
     elif action == "pool-frame":
         # A plausible length prefix followed by garbage: the parent
         # decodes the body, fails to parse it (→ protocol-desync).
-        import struct
-
         out.write(struct.pack(">I", 32) + b"\xde\xad\xbe\xef" * 8)
         out.flush()
         time.sleep(3600)  # never send the real result after desyncing
     elif action == "pool-loris":
         # Announce a frame, then dribble bytes that never complete it:
         # the pipe stays warm but no frame ever lands (→ slow-loris).
-        import struct
-
         out.write(struct.pack(">I", 4096))
         out.flush()
         while True:
             time.sleep(max(0.05, beat_every / 4))
             out.write(b".")
             out.flush()
+    else:
+        raise ConfigError(f"unknown fault action {action!r}")
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,26 @@
 """Persistent warm worker pool: fork once, serve many simulation units.
 
-PR 1's crash isolation ran every simulation in a fresh ``python -m
-repro.experiments.campaign`` subprocess — robust, but each unit paid
-interpreter start + engine re-import + result marshal, and
-``BENCH_campaign.json`` recorded the consequence: ``--jobs 4`` was
-*slower* than serial (0.88x).  This module keeps the isolation boundary
-(one worker process per concurrent unit, a crash costs one unit) while
-paying the spawn cost **once per worker** instead of once per unit:
+Every isolated simulation runs in a worker process, so a crash or hang
+costs one unit, never the campaign.  A worker is started once and then
+serves many units, so interpreter start + engine import are paid **once
+per worker** instead of once per unit:
 
 * a **worker** (``python -m repro.experiments.pool``) boots, pre-imports
   the engine, announces ``ready``, then serves ``run`` requests over a
   length-prefixed JSON frame protocol on stdin/stdout until told to shut
   down (or until its TTL recycles it);
 * while a unit simulates, the worker streams **heartbeat frames** from
-  inside the event loop (via the PR 1 :class:`~repro.common.guard.
-  Watchdog` hook), so the parent can tell "still crunching" from "hung"
+  inside the event loop (via the :class:`~repro.common.guard.Watchdog`
+  hook), so the parent can tell "still crunching" from "hung"
   without killing anything;
 * the parent-side :class:`WorkerHandle` owns exactly one worker and maps
   every way the stream can go wrong onto the structured error taxonomy:
-  silence → :class:`~repro.common.errors.WorkerHang`, EOF/death →
-  :class:`~repro.common.errors.WorkerCrash`, truncated or corrupt frames
-  → :class:`~repro.common.errors.ProtocolDesync`, a partial frame that
-  trickles without completing → :class:`~repro.common.errors.
-  SlowLorisWorker`.
+  silence → :class:`~repro.common.errors.WorkerHang`, the unit's own
+  deadline running out → :class:`~repro.common.errors.RunTimeout`,
+  EOF/death → :class:`~repro.common.errors.WorkerCrash`, truncated or
+  corrupt frames → :class:`~repro.common.errors.ProtocolDesync`, a
+  partial frame that trickles without completing →
+  :class:`~repro.common.errors.SlowLorisWorker`.
 
 Scheduling policy — which worker runs what, recycling after faults,
 retry/backoff, poison-unit quarantine, and degradation — lives one layer
@@ -31,7 +29,7 @@ is only the mechanism: one process, one pipe, one unit at a time.
 
 Determinism is preserved by construction: a worker builds a **fresh**
 :class:`~repro.experiments.runner.Runner` per unit, so a warm worker's
-Nth unit sees exactly the state a cold subprocess would — the
+Nth unit sees exactly the state a cold process would — the
 jobs=N ≡ jobs=1 record-identity the equivalence tests pin.
 """
 
@@ -121,8 +119,8 @@ class FrameTimeout(ReproError):
     """Internal to the parent-side reader: no bytes arrived in time.
 
     Never escapes :class:`WorkerHandle` — it is translated into
-    :class:`WorkerHang` (total silence) with the liveness context only
-    the handle knows.
+    :class:`WorkerHang` (total silence) or :class:`RunTimeout` (the
+    unit's deadline ran out) with the context only the handle knows.
     """
 
     code = "frame-timeout"
@@ -288,17 +286,17 @@ class WorkerHandle:
         """Drive one unit through the worker; return its record.
 
         *deadline* bounds the unit's wall clock (the worker arms an
-        in-process watchdog at 80% of it, exactly like the PR 1
-        subprocess path, so simulator hangs die with a hang report
-        before the parent gives up).  *heartbeat_timeout* bounds
+        in-process watchdog at 80% of it, so simulator hangs die with a
+        hang report before the parent gives up); running out of it
+        raises :class:`RunTimeout`.  *heartbeat_timeout* bounds
         silence: if no frame (heartbeat or result) arrives within it,
         the worker is declared hung.
 
-        Raises the taxonomy: :class:`WorkerHang`, :class:`WorkerCrash`,
-        :class:`ProtocolDesync`, :class:`SlowLorisWorker`, or the
-        re-hydrated simulation error the worker reported.  On any of
-        the first four the caller must ``kill()`` and recycle — the
-        stream is no longer trustworthy.
+        Raises the taxonomy: :class:`RunTimeout`, :class:`WorkerHang`,
+        :class:`WorkerCrash`, :class:`ProtocolDesync`,
+        :class:`SlowLorisWorker`, or the re-hydrated simulation error
+        the worker reported.  On any of the first five the caller must
+        ``kill()`` and recycle — the stream is no longer trustworthy.
         """
         if not self.alive:
             raise WorkerCrash(
@@ -344,6 +342,10 @@ class WorkerHandle:
             try:
                 frame = self._reader.read(budget)
             except FrameTimeout:
+                if budget < heartbeat_timeout:
+                    # The unit's deadline ran out before the silence
+                    # window did: the loop head raises RunTimeout.
+                    continue
                 raise WorkerHang(
                     f"worker {self.worker_id} went silent for "
                     f"{budget:g}s mid-unit ({spec.describe()}): no "
@@ -447,7 +449,7 @@ class WorkerHandle:
 # ----------------------------------------------------------------------
 def _serve_unit(out, frame: dict) -> None:
     """Simulate one run frame and answer with a result or error frame."""
-    from repro.experiments.faults import apply_pool_fault
+    from repro.experiments.faults import apply_fault
     from repro.experiments.runner import Runner
     from repro.scor.apps.registry import app_by_name
 
@@ -507,10 +509,10 @@ def _serve_unit(out, frame: dict) -> None:
     try:
         # Injected faults strike after the unit is dispatched — exactly
         # where a real mid-unit SIGKILL / hang / desync would.
-        apply_pool_fault(frame.get("fault"), out, request_id, beat_every)
+        apply_fault(frame.get("fault"), out, beat_every)
         log_event("unit-start", detector=spec.detector, seed=spec.seed)
         # A fresh Runner per unit: the warm worker's Nth unit sees the
-        # same state a cold subprocess would (determinism parity).
+        # same state a cold process would (determinism parity).
         runner = Runner(
             verbose=False,
             guard_factory=guard_factory,

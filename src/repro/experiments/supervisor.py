@@ -2,9 +2,12 @@
 
 :mod:`repro.experiments.pool` supplies the mechanism (one warm worker,
 one pipe, one unit at a time); this module supplies the policy.  A
-:class:`PoolSupervisor` is a drop-in campaign executor (same
-``execute(spec) -> RunRecord`` contract as :class:`~repro.experiments.
-campaign.CampaignExecutor`) that owns a fleet of workers and enforces:
+:class:`PoolSupervisor` is the one isolated campaign executor
+(``execute(spec) -> RunRecord``, raising
+:class:`~repro.common.errors.RunFailedError`): ``--isolate``,
+``--timeout``, ``--max-retries`` and ``--jobs N`` all run a campaign on
+one pool of ``max(1, N)`` workers, and the ``scord-serve`` daemon feeds
+the same class.  It owns a fleet of workers and enforces:
 
 * **heartbeat liveness** — a busy worker must produce a frame (result
   or heartbeat) every ``heartbeat_timeout`` seconds or it is declared
@@ -14,13 +17,14 @@ campaign.CampaignExecutor`) that owns a fleet of workers and enforces:
   desync, hang); healthy workers are reused until their TTL;
 * **bounded restarts** — fault respawns draw from a
   ``max_worker_restarts`` budget, so a pathological environment cannot
-  spawn-loop forever;
+  spawn-loop forever (a worker killed because its unit outran the
+  deadline is replaced free: that is the unit's failure, ``run-timeout``);
 * **bounded retry with backoff** — a faulted unit is retried on a fresh
-  worker with exponential backoff, classified by the PR 1 error
-  taxonomy (deterministic ``config``/``kernel`` errors are not retried);
+  worker with exponential backoff, classified by the error taxonomy
+  (deterministic ``config``/``kernel`` errors are not retried);
 * **poison-unit quarantine** — a unit that kills ``poison_threshold``
-  workers is failed with ``FAILED(poison-unit)`` instead of eating the
-  restart budget;
+  workers (crash, hang, desync; not a deadline overrun) is failed with
+  ``FAILED(poison-unit)`` instead of eating the restart budget;
 * **backpressure** — at most one in-flight unit per worker; dispatchers
   block on worker checkout, so the inflight window is bounded by the
   pool size and a stalled pool stalls submission instead of queueing
@@ -70,7 +74,6 @@ from repro.common.errors import (
     error_code,
 )
 from repro.experiments.campaign import (
-    _NO_RETRY_CODES,
     InProcessExecutor,
     RunFailure,
     RunSpec,
@@ -87,6 +90,9 @@ from repro.experiments.runner import RunRecord
 WORKER_FATAL = (
     WorkerHang, WorkerCrash, ProtocolDesync, SlowLorisWorker, RunTimeout,
 )
+
+#: failure categories not worth a retry: deterministic misconfigurations
+_NO_RETRY_CODES = frozenset({"config", "kernel"})
 
 
 @dataclasses.dataclass
@@ -126,7 +132,7 @@ class PoolConfig:
 
 
 class PoolSupervisor:
-    """Supervised persistent worker pool; a drop-in campaign executor.
+    """Supervised persistent worker pool; the isolated campaign executor.
 
     Thread-safe: the parallel campaign's dispatcher threads call
     :meth:`execute` concurrently; each call checks a worker out of the
@@ -270,13 +276,24 @@ class PoolSupervisor:
             except WORKER_FATAL as err:
                 self._add_heartbeats(worker.heartbeats_seen - hb_before)
                 last_category, last_message = error_code(err), str(err)
-                self._recycle_after_fault(worker, last_category)
+                # A unit that outran its deadline cost its worker, but
+                # says nothing about whether workers can be sustained and
+                # cannot spawn-loop (each attempt lasts the full
+                # deadline): it spends no restart budget and is not
+                # poison, so it fails as run-timeout once retries run out.
+                overran = isinstance(err, RunTimeout)
+                self._recycle_after_fault(
+                    worker, last_category, charge=not overran
+                )
                 self._note(
                     f"worker {worker.worker_id} lost on "
                     f"{spec.describe()} (attempt {attempt}/{attempts}): "
                     f"{last_category}: {last_message}"
                 )
-                poison_category = self._note_poison(spec, last_category)
+                poison_category = (
+                    None if overran
+                    else self._note_poison(spec, last_category)
+                )
                 if poison_category is not None:
                     raise self._poison_failure(
                         spec, attempt, poison_category
@@ -403,9 +420,12 @@ class PoolSupervisor:
         self._idle.put(worker)
 
     def _recycle_after_fault(
-        self, worker: WorkerHandle, category: str
+        self, worker: WorkerHandle, category: str, charge: bool = True
     ) -> None:
-        """Kill a faulted worker and account for its replacement."""
+        """Kill a faulted worker and account for its replacement.
+
+        *charge* draws the respawn from the restart budget.
+        """
         self._update_worker_stats(worker)
         worker.kill()
         self._mark_worker_dead(worker.worker_id)
@@ -415,7 +435,8 @@ class PoolSupervisor:
                 self.lost_workers.get(category, 0) + 1
             )
         self._count("pool.workers.lost", code=category)
-        self._consume_restart(category)
+        if charge:
+            self._consume_restart(category)
         self._idle.put(None)
 
     def _consume_restart(self, reason: str) -> None:

@@ -87,3 +87,43 @@ class TestResilienceFlags:
         assert manifest["exhibits"]["table2"]["status"] == "failed"
         assert manifest["exhibits"]["table2"]["code"] == "simulation"
         assert manifest["exhibits"]["table8"]["status"] == "ok"
+
+
+class TestIsolatedCampaign:
+    """Every isolated campaign runs on one supervised pool."""
+
+    @pytest.mark.parametrize("flags,workers", [
+        (["--isolate"], 1),
+        (["--jobs", "2"], 2),
+    ])
+    def test_campaign_runs_on_one_pool(
+        self, flags, workers, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments import fig8
+        from repro.scor.apps.registry import app_by_name
+
+        # A 2-app fig8: 6 cheap units (none/base/scord each).
+        monkeypatch.setattr(
+            fig8, "ALL_APPS", [app_by_name("RED"), app_by_name("R110")]
+        )
+        path = tmp_path / "manifest.json"
+        assert main(
+            ["fig8", "--quiet", "--manifest", str(path)] + flags
+        ) == 0
+        manifest = json.loads(path.read_text())
+        assert manifest["ok"] is True
+        assert manifest["counts"]["fresh_runs"] == 6
+        pool = manifest["pool"]
+        assert pool["workers"] == workers
+        # One spawn per worker, no respawns: every unit (prefetched or
+        # not) ran on the campaign's single pool.
+        assert pool["spawned"] == workers
+        assert pool["restarts"] == 0
+        assert pool["units_ok"] == 6
+        assert not any(w["alive"] for w in pool["per_worker"].values())
+
+    def test_no_pool_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig8", "--no-pool"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-pool" in capsys.readouterr().err

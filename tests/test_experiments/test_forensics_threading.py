@@ -2,9 +2,9 @@
 
 The flight recorder and forensic bundling ride the whole stack: the
 in-process :class:`Runner` (fresh recorder per unit, bundles on disk,
-manifest section), the isolated-worker executor's stdout side-channel,
-the warm worker pool's structured ``log`` frames with campaign
-correlation IDs, and the CLI surface (flags plus the live dashboard).
+manifest section), the warm worker pool's structured ``log`` frames
+with campaign correlation IDs, and the CLI surface (flags plus the live
+dashboard).
 Each layer gets its own test here, cheapest first.
 """
 
@@ -13,10 +13,9 @@ import os
 
 import pytest
 
-from repro.experiments.campaign import CampaignExecutor, RunSpec
+from repro.experiments.campaign import RunSpec
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Runner
-from repro.experiments.store import record_to_dict
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.registry import app_by_name
 from repro.telemetry import FlightConfig
@@ -110,38 +109,6 @@ def test_disk_cache_is_bypassed_under_flight(tmp_path):
     capturing.run(app_by_name("RED"), detector="none")
     assert capturing.fresh_runs == 1
     assert capturing.cached_runs == 0
-
-
-# ----------------------------------------------------------------------
-# Isolated-worker executor: the stdout side-channel
-# ----------------------------------------------------------------------
-class TestParseRecordSideChannel:
-    def _stdout(self, record_line, extra_lines):
-        return "\n".join(extra_lines + [record_line]) + "\n"
-
-    def _record_line(self):
-        record = Runner(verbose=False).run(app_by_name("RED"), "none")
-        return json.dumps(record_to_dict(record))
-
-    def test_forensics_units_are_lifted(self):
-        executor = CampaignExecutor()
-        unit = {"unit": "RED.none.default", "bundles": 0}
-        stdout = self._stdout(self._record_line(), [
-            "stray print from an app",
-            json.dumps({"forensics_unit": unit}),
-            "{not json",
-        ])
-        record = executor._parse_record(RunSpec("RED", "none"), stdout)
-        assert record.app == "RED"
-        assert executor.forensics_units == [unit]
-
-    def test_plain_stdout_collects_nothing(self):
-        executor = CampaignExecutor()
-        record = executor._parse_record(
-            RunSpec("RED", "none"), self._record_line() + "\n"
-        )
-        assert record.app == "RED"
-        assert executor.forensics_units == []
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.common.errors import (
     PoolExhausted,
     ProtocolDesync,
     RunFailedError,
+    RunTimeout,
     SlowLorisWorker,
     WorkerCrash,
     WorkerHang,
@@ -210,6 +211,28 @@ class TestWorkerHandle:
                     FAST, deadline=30, fault=action,
                     heartbeat_timeout=1.0,
                 )
+        finally:
+            handle.kill()
+
+
+    def test_silence_past_the_unit_deadline_is_run_timeout(self):
+        """The deadline, not the silence window, expired: run-timeout.
+
+        A silent worker under ``--timeout 2`` must fail its unit as
+        ``run-timeout`` (the ``FAILED(run-timeout)`` cells), not as
+        ``worker-hang``, which is reserved for an expired heartbeat
+        window.
+        """
+        handle = WorkerHandle(0)
+        handle.spawn()
+        try:
+            started = time.monotonic()
+            with pytest.raises(RunTimeout):
+                handle.run_unit(
+                    FAST, deadline=2, fault="pool-hang",
+                    heartbeat_timeout=10,
+                )
+            assert time.monotonic() - started < 10
         finally:
             handle.kill()
 

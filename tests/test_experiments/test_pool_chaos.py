@@ -84,9 +84,9 @@ class TestChaosRecovery:
             ["--jobs", "2", "--chaos-kill-every", "2", "--timeout", "60",
              "--quiet"]
         )
-        args.pool = True  # main() derives this from --jobs; set directly
-        supervisor, chaos = cli._build_pool(args, jobs=2)
-        assert supervisor is not None and chaos is not None
+        supervisor = cli._build_runner(args).pool
+        chaos = supervisor.fault_plan
+        assert isinstance(chaos, ChaosPlan)
         assert supervisor.config.workers == 2
         units = UNITS[:4]
         try:

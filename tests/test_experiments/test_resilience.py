@@ -2,13 +2,12 @@
 
 These tests deliberately inject hangs, crashes, and corrupted store
 entries (repro.experiments.faults) to prove the recovery paths behave as
-specified — resume skips finished runs, a hang is timed out and retried,
-exhausted retries degrade to FAILED cells, and corruption is quarantined.
+specified — resume skips finished runs, a hang is timed out and retried
+on the worker pool, exhausted retries degrade to FAILED cells, and
+corruption is quarantined.
 """
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -17,16 +16,11 @@ import pytest
 
 from repro.common.errors import RunFailedError
 from repro.experiments import fig8
-from repro.experiments.campaign import (
-    EXIT_BAD_SPEC,
-    CampaignExecutor,
-    CampaignRunner,
-    RunSpec,
-    _worker_env,
-)
+from repro.experiments.campaign import CampaignRunner, RunSpec, _worker_env
 from repro.experiments.faults import FaultPlan, FaultRule, corrupt_store
 from repro.experiments.runner import Runner
 from repro.experiments.store import RunStore, record_key
+from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.matmul import MatMulApp
 from repro.scor.apps.reduction import ReductionApp
 
@@ -143,32 +137,63 @@ class TestKilledCampaign:
 
 
 # ----------------------------------------------------------------------
-# Fault injection through the subprocess executor
+# Fault injection through a pool of one
 # ----------------------------------------------------------------------
+def pool_of_one(fault_plan=None, **config) -> PoolSupervisor:
+    """What ``--isolate``/``--timeout``/``--max-retries`` build."""
+    config.setdefault("backoff_seconds", 0.01)
+    return PoolSupervisor(
+        PoolConfig(workers=1, **config), fault_plan=fault_plan
+    )
+
+
 class TestFaultInjection:
     def test_injected_hang_is_timed_out_and_retried(self):
         """Hang on attempt 1, behave on attempt 2: the run succeeds."""
-        executor = CampaignExecutor(
-            timeout=5.0,
-            max_retries=1,
-            backoff_seconds=0.01,
-            fault_plan=FaultPlan.once("hang", app="RED"),
-        )
-        started = time.time()
-        record = executor.execute(RunSpec("RED"))
-        elapsed = time.time() - started
+        with pool_of_one(
+            FaultPlan.once("pool-hang", app="RED"),
+            unit_timeout=5.0, max_retries=1,
+        ) as pool:
+            started = time.time()
+            record = pool.execute(RunSpec("RED"))
+            elapsed = time.time() - started
+            stats = pool.stats()
         assert record.app == "RED"
         assert elapsed >= 5.0  # the first attempt really hit the timeout
+        # The unit's deadline, not the 10 s silence window, expired.
+        assert stats["lost_workers"] == {"run-timeout": 1}
+        assert stats["units_retried"] == 1
+
+    def test_unit_that_keeps_hanging_fails_as_run_timeout(self):
+        """Every attempt outruns the deadline: run-timeout, not poison.
+
+        The respawns after a deadline overrun spend no restart budget,
+        so even a zero budget neither degrades the pool nor lets a
+        later attempt slip through in-process.
+        """
+        with pool_of_one(
+            FaultPlan.always("pool-hang"),
+            unit_timeout=1.0, max_retries=2, max_worker_restarts=0,
+        ) as pool:
+            with pytest.raises(RunFailedError) as excinfo:
+                pool.execute(RunSpec("RED"))
+            stats = pool.stats()
+        assert excinfo.value.failure.category == "run-timeout"
+        assert excinfo.value.failure.attempts == 3
+        assert stats["lost_workers"] == {"run-timeout": 3}
+        assert stats["restarts"] == 0
+        assert not stats["degraded"]
+        assert stats["poisoned_units"] == {}
 
     def test_exhausted_retries_raise_structured_failure(self):
-        executor = CampaignExecutor(
-            timeout=10.0,
-            max_retries=1,
-            backoff_seconds=0.01,
-            fault_plan=FaultPlan.always("crash"),
-        )
-        with pytest.raises(RunFailedError) as excinfo:
-            executor.execute(RunSpec("RED"))
+        # A poison threshold above the attempt count, so the retries run
+        # out before the quarantine kicks in.
+        with pool_of_one(
+            FaultPlan.always("pool-kill"),
+            unit_timeout=10.0, max_retries=1, poison_threshold=3,
+        ) as pool:
+            with pytest.raises(RunFailedError) as excinfo:
+                pool.execute(RunSpec("RED"))
         failure = excinfo.value.failure
         assert failure.category == "worker-crash"
         assert failure.attempts == 2
@@ -176,35 +201,22 @@ class TestFaultInjection:
         assert excinfo.value.code == "worker-crash"
 
     def test_injected_simulation_error_is_classified(self):
-        executor = CampaignExecutor(
-            timeout=10.0, max_retries=0,
-            fault_plan=FaultPlan.always("error"),
-        )
-        with pytest.raises(RunFailedError) as excinfo:
-            executor.execute(RunSpec("RED"))
+        with pool_of_one(
+            FaultPlan.always("error"), unit_timeout=10.0, max_retries=0,
+        ) as pool:
+            with pytest.raises(RunFailedError) as excinfo:
+                pool.execute(RunSpec("RED"))
         assert excinfo.value.failure.category == "simulation"
         assert "injected fault" in excinfo.value.failure.message
 
     def test_fault_plan_matching(self):
         plan = FaultPlan(
-            (FaultRule(("hang", None), app="RED", detector="scord"),)
+            (FaultRule(("pool-hang", None), app="RED", detector="scord"),)
         )
-        assert plan.action_for("RED", "scord", "default", 1) == "hang"
+        assert plan.action_for("RED", "scord", "default", 1) == "pool-hang"
         assert plan.action_for("RED", "scord", "default", 2) is None
         assert plan.action_for("RED", "base", "default", 1) is None
         assert plan.action_for("MM", "scord", "default", 1) is None
-
-    def test_worker_rejects_bad_spec(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.campaign"],
-            input="{not json",
-            capture_output=True,
-            text=True,
-            env=_worker_env(),
-            timeout=60,
-        )
-        assert proc.returncode == EXIT_BAD_SPEC
-        assert "[worker-error] config" in proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +228,12 @@ class TestDegradation:
     ):
         """RED hangs every attempt; MM's cells still render."""
         monkeypatch.setattr(fig8, "ALL_APPS", [MatMulApp, ReductionApp])
-        executor = CampaignExecutor(
-            timeout=2.0, max_retries=0, backoff_seconds=0.01,
-            fault_plan=FaultPlan.always("hang", app="RED"),
-        )
-        runner = CampaignRunner(executor, verbose=False)
-        result = fig8.run_fig8(runner)
+        with pool_of_one(
+            FaultPlan.always("pool-hang", app="RED"),
+            unit_timeout=2.0, max_retries=0,
+        ) as pool:
+            runner = CampaignRunner(pool, verbose=False)
+            result = fig8.run_fig8(runner)
         rendered = result.render()
         assert "FAILED(run-timeout)" in rendered
         # The healthy app's row and the average still render numerically.
@@ -236,12 +248,14 @@ class TestDegradation:
 
     def test_campaign_runner_memoizes_and_persists_once(self, tmp_path):
         store = RunStore(tmp_path / "store.jsonl")
-        executor = CampaignExecutor(timeout=30.0)
-        runner = CampaignRunner(executor, verbose=False, store=store)
-        first = runner.run(ReductionApp, detector="none")
-        second = runner.run(ReductionApp, detector="none")
+        with pool_of_one(unit_timeout=30.0) as pool:
+            runner = CampaignRunner(pool, verbose=False, store=store)
+            first = runner.run(ReductionApp, detector="none")
+            second = runner.run(ReductionApp, detector="none")
+            stats = pool.stats()
         assert first is second
         assert runner.fresh_runs == 1
+        assert stats["units_ok"] == 1  # the pool saw the unit once
         assert record_key(first) in store.load()
         # Exactly one line: the parent persisted the fresh record once;
         # the memoized second call did not re-append (and the worker
